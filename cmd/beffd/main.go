@@ -61,7 +61,6 @@ func main() {
 	s, err := serve.New(serve.Config{
 		Workers:       rf.J,
 		CacheDir:      rf.Dir,
-		CacheBackend:  rf.Backend,
 		NoCache:       rf.NoCache,
 		QueueLimit:    c.QueueLimit,
 		MaxClientJobs: c.MaxClientJobs,
@@ -95,7 +94,11 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	if dir := s.CacheDir(); dir != "" {
-		fmt.Fprintf(os.Stderr, "beffd: cache at %s (%s backend)\n", dir, s.CacheBackend())
+		if s.CacheReadOnly() {
+			fmt.Fprintf(os.Stderr, "beffd: cache at %s (read-only: another process holds its lock; new results are not saved)\n", dir)
+		} else {
+			fmt.Fprintf(os.Stderr, "beffd: cache at %s\n", dir)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "beffd: listening on http://%s\n", ln.Addr())
 

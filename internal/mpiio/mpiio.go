@@ -169,10 +169,11 @@ type sharedState struct {
 }
 
 // openRegistry keeps one sharedState per (fs,name) so that every rank's
-// Open returns handles on common state. Keyed on the FS instance. The
-// mutex only guards against *different* engines running in parallel
-// (e.g. parallel benchmarks); within one engine the sequential
-// discipline already serialises.
+// Open returns handles on common state. Keyed on the FS instance; an
+// entry lives while some rank holds the file open, so the registry
+// never keeps a closed file's FS alive. The mutex only guards against
+// *different* engines running in parallel (e.g. parallel benchmarks);
+// within one engine the sequential discipline already serialises.
 var (
 	openRegistryMu sync.Mutex
 	openRegistry   = map[*simfs.FS]map[string]*sharedState{}
@@ -202,7 +203,7 @@ func Open(c *mpi.Comm, fs *simfs.FS, name string, mode int, info Info) (*File, e
 		openRegistry[fs] = reg
 	}
 	sh := reg[name]
-	if sh == nil || sh.refs == 0 {
+	if sh == nil {
 		sh = &sharedState{name: name, coord: newCoordination()}
 		reg[name] = sh
 	}
@@ -219,7 +220,16 @@ func Open(c *mpi.Comm, fs *simfs.FS, name string, mode int, info Info) (*File, e
 func (f *File) Close() {
 	f.comm.Barrier()
 	f.sf.Close(f.comm.Proc())
+	openRegistryMu.Lock()
 	f.sh.refs--
+	if f.sh.refs == 0 {
+		reg := openRegistry[f.fs]
+		delete(reg, f.sh.name)
+		if len(reg) == 0 {
+			delete(openRegistry, f.fs)
+		}
+	}
+	openRegistryMu.Unlock()
 	f.comm.Barrier() // every rank has released its reference
 	if f.mode&ModeDeleteOnClose != 0 && f.sh.refs == 0 && f.comm.Rank() == 0 {
 		f.fs.Delete(f.comm.Proc(), f.sh.name)

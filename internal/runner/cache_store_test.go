@@ -7,173 +7,187 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/hpcbench/beff/internal/obs"
+	"github.com/hpcbench/beff/internal/store"
 )
 
-// Tests for the store-backed cache: read-through migration from the
-// flat layout, degraded fallback when the writer lock is taken,
-// temp-file garbage collection, and write races.
+// Tests for the store-backed cache: offline migration from the flat
+// layout older versions wrote, the read-only open beside a lock
+// holder, recovery from torn writes, and write races.
 
-func TestReadThroughMigration(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cache")
-	flat, err := OpenCacheBackend(dir, BackendFlat)
+// exportFlat writes every entry of c into dir as the flat layout older
+// versions kept: one <key>.json file holding the entry document.
+func exportFlat(t *testing.T, c *Cache, dir string) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	err := c.Store().Scan(func(key string, doc []byte) error {
+		return os.WriteFile(filepath.Join(dir, key+".json"), doc, 0o644)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// openStore opens dir's store as the writer, closed with the test.
+func openStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+func TestMigrateFlat(t *testing.T) {
+	seed := openTestCache(t)
 	var runs atomic.Int32
 	cells := make([]Cell[int], 10)
 	for i := range cells {
 		cells[i] = countingCell(&runs, fp{Machine: "legacy", Procs: i}, i)
 	}
-	Sweep(cells, Options{Cache: flat})
+	Sweep(cells, Options{Cache: seed})
 	if runs.Load() != 10 {
 		t.Fatalf("seed runs = %d", runs.Load())
 	}
+	dir := filepath.Join(t.TempDir(), "flat")
+	exportFlat(t, seed, dir)
+	// A damaged entry is skipped and kept; a file that is not an entry
+	// name is not touched at all.
+	damaged := filepath.Join(dir, "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff.json")
+	notes := filepath.Join(dir, "notes.json")
+	for _, p := range []string{damaged, notes} {
+		if err := os.WriteFile(p, []byte("{torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	// Reopen on the store backend: every key must hit via read-through,
-	// migrate into the store, and leave no flat file behind.
-	c, err := OpenCache(dir)
+	st := openStore(t, dir)
+	moved, skipped, err := MigrateFlat(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	reg := obs.New()
-	c.Instrument(reg)
-	res := Sweep(cells, Options{Cache: c})
-	for i, r := range res {
-		if !r.Cached || r.Value != i {
-			t.Fatalf("cell %d not served through migration: %+v", i, r)
+	if moved != 10 || len(skipped) != 1 || skipped[0] != filepath.Base(damaged) {
+		t.Fatalf("migrated %d, skipped %v", moved, skipped)
+	}
+	if left := FlatEntries(dir); len(left) != 1 {
+		t.Fatalf("flat entries left after migration: %v", left)
+	}
+	if _, err := os.Stat(notes); err != nil {
+		t.Fatalf("non-entry file disturbed: %v", err)
+	}
+	st.Close()
+
+	// Every key now hits in the store, with no recompute, and the
+	// migrated entries survive a reopen.
+	for pass := 0; pass < 2; pass++ {
+		c, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := Sweep(cells, Options{Cache: c})
+		c.Close()
+		for i, r := range res {
+			if !r.Cached || r.Value != i {
+				t.Fatalf("pass %d: cell %d not served from migrated entries: %+v", pass, i, r)
+			}
 		}
 	}
 	if runs.Load() != 10 {
 		t.Fatalf("migration recomputed: runs = %d", runs.Load())
 	}
-	if got := reg.Counter("runner_cache_migrated_total").Value(); got != 10 {
-		t.Fatalf("migrated counter = %d", got)
-	}
-	if flats, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(flats) != 0 {
-		t.Fatalf("flat entries left after migration: %v", flats)
-	}
-	if c.Store().Len() != 10 {
-		t.Fatalf("store holds %d entries", c.Store().Len())
-	}
-
-	// The migrated entries survive a reopen without the flat files.
-	c.Close()
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	res = Sweep(cells, Options{Cache: c2})
-	if runs.Load() != 10 || !res[3].Cached {
-		t.Fatalf("migrated entries lost on reopen: runs=%d %+v", runs.Load(), res[3])
-	}
 }
 
-func TestDegradedSecondWriterFallsBackToFlat(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cache")
-	holder, err := OpenCache(dir)
+func TestMigrationPreservesExactValueBytes(t *testing.T) {
+	// The golden-corpus guarantee: a migrated entry is the flat file's
+	// bytes verbatim, so its decoded value is identical too.
+	type result struct {
+		Protocol string    `json:"protocol"`
+		Points   []float64 `json:"points"`
+	}
+	seed := openTestCache(t)
+	fingerprint := fp{Machine: "golden", Procs: 16}
+	want := result{Protocol: "rendezvous", Points: []float64{1.5, 2.25, 1e-9}}
+	key, err := seed.keyFor(fingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer holder.Close()
-
-	// A second cache on the same directory cannot take the writer lock;
-	// it must degrade to flat entries instead of failing.
-	second, err := OpenCache(dir)
+	seed.store(key, "golden-cell", fingerprint, want)
+	dir := filepath.Join(t.TempDir(), "flat")
+	exportFlat(t, seed, dir)
+	flat, err := os.ReadFile(filepath.Join(dir, key+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Backend() != BackendFlat || second.Degraded() == nil {
-		t.Fatalf("second writer: backend=%s degraded=%v", second.Backend(), second.Degraded())
-	}
-	var runs atomic.Int32
-	cell := countingCell(&runs, fp{Machine: "degraded", Procs: 1}, 77)
-	Sweep([]Cell[int]{cell}, Options{Cache: second})
-	key, err := second.keyFor(cell.Fingerprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(second.path(key)); err != nil {
-		t.Fatalf("degraded writer did not leave a flat entry: %v", err)
-	}
 
-	// The lock holder picks the flat entry up by read-through.
-	res := Sweep([]Cell[int]{cell}, Options{Cache: holder})
-	if runs.Load() != 1 || !res[0].Cached || res[0].Value != 77 {
-		t.Fatalf("holder did not migrate the degraded entry: runs=%d %+v", runs.Load(), res[0])
+	st := openStore(t, dir)
+	if _, _, err := MigrateFlat(st); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(second.path(key)); !os.IsNotExist(err) {
-		t.Fatalf("flat entry not cleaned up after migration: %v", err)
+	doc, ok, err := st.Get(key)
+	if err != nil || !ok || string(doc) != string(flat) {
+		t.Fatalf("migrated document differs from the flat file (ok=%v, err=%v)", ok, err)
 	}
-}
+	st.Close()
 
-func TestOpenCacheCollectsStaleTempFiles(t *testing.T) {
-	for _, backend := range []string{BackendStore, BackendFlat} {
-		t.Run(backend, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "cache")
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			old := filepath.Join(dir, "deadbeef.tmp123456")
-			fresh := filepath.Join(dir, "cafef00d.tmp654321")
-			for _, p := range []string{old, fresh} {
-				if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			stale := time.Now().Add(-2 * tmpMaxAge)
-			if err := os.Chtimes(old, stale, stale); err != nil {
-				t.Fatal(err)
-			}
-			c, err := OpenCacheBackend(dir, backend)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if _, err := os.Stat(old); !os.IsNotExist(err) {
-				t.Fatalf("stale temp file survived open: %v", err)
-			}
-			if _, err := os.Stat(fresh); err != nil {
-				t.Fatalf("fresh temp file collected: %v", err)
-			}
-		})
-	}
-}
-
-func TestGCLeavesStoreTempFilesToTheStore(t *testing.T) {
-	// seg-*.tmp is an uncommitted compaction output. The flat backend
-	// must not touch it regardless of age — only the store, under its
-	// writer lock, knows whether a compactor still owns it.
-	dir := filepath.Join(t.TempDir(), "cache")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	segTmp := filepath.Join(dir, "seg-00000009.cmp.tmp")
-	if err := os.WriteFile(segTmp, []byte("merge in progress"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stale := time.Now().Add(-2 * tmpMaxAge)
-	if err := os.Chtimes(segTmp, stale, stale); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCacheBackend(dir, BackendFlat); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(segTmp); err != nil {
-		t.Fatalf("flat backend touched the store's temp file: %v", err)
-	}
-	// The store backend reaps it during recovery, under the lock.
-	c, err := OpenCacheBackend(dir, BackendStore)
+	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := os.Stat(segTmp); !os.IsNotExist(err) {
-		t.Fatalf("store did not reap its own temp file: %v", err)
+	var via result
+	if !c.load(key, &via) {
+		t.Fatal("migrated entry missed")
+	}
+	a, _ := json.Marshal(want)
+	b, _ := json.Marshal(via)
+	if string(a) != string(b) {
+		t.Fatalf("value changed across migration:\nflat:  %s\nstore: %s", a, b)
+	}
+}
+
+func TestOpenCacheCollectsStaleTempFiles(t *testing.T) {
+	// seg-*.tmp is an uncommitted compaction output. Only the store,
+	// under its writer lock, knows no compactor still owns it: a
+	// writable open reaps it, a read-only open beside a lock holder
+	// must leave it alone.
+	for _, readOnly := range []bool{false, true} {
+		name := "store"
+		if readOnly {
+			name = "read-only"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "cache")
+			if readOnly {
+				holder, err := OpenCache(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer holder.Close()
+			}
+			segTmp := filepath.Join(dir, "seg-00000009.cmp.tmp")
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(segTmp, []byte("merge in progress"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c, err := OpenCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if c.ReadOnly() != readOnly {
+				t.Fatalf("cache read-only = %v, want %v", c.ReadOnly(), readOnly)
+			}
+			_, err = os.Stat(segTmp)
+			if reaped := os.IsNotExist(err); reaped == readOnly {
+				t.Fatalf("temp file reaped = %v on a read-only = %v open (stat: %v)", reaped, readOnly, err)
+			}
+		})
 	}
 }
 
@@ -215,14 +229,31 @@ func TestStorePoisonedEntryRecomputedAndRepaired(t *testing.T) {
 func TestConcurrentSameKeyWriters(t *testing.T) {
 	// Sweep workers deduplicate in-flight work, but nothing stops two
 	// processes' worth of goroutines racing store() on one key. Last
-	// write wins; no torn reads; no errors surface.
-	for _, backend := range []string{BackendStore, BackendFlat} {
-		t.Run(backend, func(t *testing.T) {
-			c, err := OpenCacheBackend(filepath.Join(t.TempDir(), "cache"), backend)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+	// write wins; no torn reads; no errors surface. A read-only cache
+	// beside the writer skips every write and counts each skip.
+	dir := filepath.Join(t.TempDir(), "cache")
+	writer, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	readOnly, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer readOnly.Close()
+	for _, tc := range []struct {
+		name      string
+		c         *Cache
+		wantSkips int64
+	}{
+		{"store", writer, 0},
+		{"read-only", readOnly, 8 * 50},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			reg := obs.New()
+			c.Instrument(reg)
 			fingerprint := fp{Machine: "race", Procs: 1}
 			key, err := c.keyFor(fingerprint)
 			if err != nil {
@@ -244,9 +275,12 @@ func TestConcurrentSameKeyWriters(t *testing.T) {
 				}()
 			}
 			wg.Wait()
+			if got := reg.Counter("runner_cache_store_errors_total").Value(); got != tc.wantSkips {
+				t.Fatalf("store errors = %d, want %d", got, tc.wantSkips)
+			}
 			var got int
-			if !c.load(key, &got) || got != 42 {
-				t.Fatalf("final value = %d", got)
+			if hit := c.load(key, &got); hit != (tc.wantSkips == 0) || (hit && got != 42) {
+				t.Fatalf("final load: hit=%v value=%d", hit, got)
 			}
 		})
 	}
@@ -273,90 +307,72 @@ func TestStoreErrorsCounterOnClosedBackend(t *testing.T) {
 	}
 }
 
-func TestLoadAfterPartialFlatWrite(t *testing.T) {
-	// A reader must never see a half-written flat entry as a hit: the
-	// writer goes through temp + rename, and a file torn mid-write (the
-	// crashed-writer case GC cleans up) decodes as a miss.
-	c := openFlatCache(t)
+func TestLoadAfterTornStoreWrite(t *testing.T) {
+	// A reader must never see a half-written entry as a hit: a segment
+	// torn mid-record (a writer that crashed during the append) is
+	// truncated back to its last whole record on open, and the entry
+	// misses.
+	dir := filepath.Join(t.TempDir(), "cache")
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fingerprint := fp{Machine: "torn", Procs: 2}
 	key, err := c.keyFor(fingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.store(key, "torn-cell", fingerprint, 13)
-	full, err := os.ReadFile(c.path(key))
+	seg := segmentFile(t, c)
+	c.Close()
+	full, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 1; cut < len(full); cut += len(full)/8 + 1 {
-		if err := os.WriteFile(c.path(key), full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(seg, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenCache(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
 		var got int
-		if c.load(key, &got) {
+		hit := c.load(key, &got)
+		c.Close()
+		if hit {
 			t.Fatalf("partial write of %d/%d bytes loaded as a hit", cut, len(full))
 		}
 	}
 }
 
-func TestFlagsCacheBackendSelection(t *testing.T) {
-	for _, tc := range []struct {
-		backend string
-		want    string
-	}{
-		{BackendStore, BackendStore},
-		{BackendFlat, BackendFlat},
-	} {
-		f := Flags{J: 1, Dir: filepath.Join(t.TempDir(), "cache"), Backend: tc.backend}
-		opt := f.Options("test")
-		if opt.Cache == nil {
-			t.Fatalf("backend %q: cache disabled", tc.backend)
-		}
-		if got := opt.Cache.Backend(); got != tc.want {
-			t.Fatalf("backend %q: got %q", tc.backend, got)
-		}
-		opt.Cache.Close()
-	}
-	// An unknown backend disables the cache rather than aborting.
-	f := Flags{J: 1, Dir: filepath.Join(t.TempDir(), "cache"), Backend: "bogus"}
-	if opt := f.Options("test"); opt.Cache != nil {
-		t.Fatal("unknown backend did not disable the cache")
-	}
-}
-
-func TestMigrationPreservesExactValueBytes(t *testing.T) {
-	// The golden-corpus guarantee: a value served through migration is
-	// byte-identical to the flat original. Store the raw entry document
-	// and compare the decoded value across backends.
+func TestFlagsOptionsOpensCache(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
-	flat, err := OpenCacheBackend(dir, BackendFlat)
-	if err != nil {
+	f := Flags{J: 1, Dir: dir}
+	first := f.Options("test")
+	if first.Cache == nil || first.Cache.ReadOnly() {
+		t.Fatalf("first sweep did not get a writable cache: %+v", first.Cache)
+	}
+	defer first.Cache.Close()
+	// A second sweep on the same directory runs read-only beside the
+	// lock holder rather than without a cache.
+	second := f.Options("test")
+	if second.Cache == nil || !second.Cache.ReadOnly() {
+		t.Fatalf("second sweep did not get a read-only cache: %+v", second.Cache)
+	}
+	second.Cache.Close()
+	// A cache that cannot be opened disables caching rather than
+	// aborting.
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	type result struct {
-		Protocol string    `json:"protocol"`
-		Points   []float64 `json:"points"`
+	f = Flags{J: 1, Dir: filepath.Join(blocker, "cache")}
+	if opt := f.Options("test"); opt.Cache != nil {
+		t.Fatal("unopenable cache directory did not disable the cache")
 	}
-	fingerprint := fp{Machine: "golden", Procs: 16}
-	want := result{Protocol: "rendezvous", Points: []float64{1.5, 2.25, 1e-9}}
-	key, err := flat.keyFor(fingerprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat.store(key, "golden-cell", fingerprint, want)
-
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var via result
-	if !c.load(key, &via) {
-		t.Fatal("migrated entry missed")
-	}
-	a, _ := json.Marshal(want)
-	b, _ := json.Marshal(via)
-	if string(a) != string(b) {
-		t.Fatalf("value changed across migration:\nflat:  %s\nstore: %s", a, b)
+	f = Flags{J: 1, Dir: dir, NoCache: true}
+	if opt := f.Options("test"); opt.Cache != nil {
+		t.Fatal("-no-cache opened a cache")
 	}
 }

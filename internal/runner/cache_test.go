@@ -33,22 +33,21 @@ func openTestCache(t *testing.T) *Cache {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Backend() != BackendStore || c.Degraded() != nil {
-		t.Fatalf("default backend = %s (degraded: %v)", c.Backend(), c.Degraded())
+	if c.ReadOnly() {
+		t.Fatal("fresh cache opened read-only")
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
 }
 
-// openFlatCache opens the legacy flat-file backend, for tests that poke
-// at the one-file-per-entry layout directly.
-func openFlatCache(t *testing.T) *Cache {
+// segmentFile returns the path of the cache's newest plain segment.
+func segmentFile(t *testing.T, c *Cache) string {
 	t.Helper()
-	c, err := OpenCacheBackend(filepath.Join(t.TempDir(), "cache"), BackendFlat)
-	if err != nil {
-		t.Fatal(err)
+	segs, err := filepath.Glob(filepath.Join(c.Dir(), "seg-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment file in %s: %v", c.Dir(), err)
 	}
-	return c
+	return segs[len(segs)-1]
 }
 
 func TestCacheHitMissInvalidation(t *testing.T) {
@@ -83,7 +82,11 @@ func TestCacheHitMissInvalidation(t *testing.T) {
 }
 
 func TestCorruptedEntryFallsBackToRecompute(t *testing.T) {
-	cache := openFlatCache(t)
+	// Bitrot inside the segment file: the record fails its framing or
+	// checksum check, the store reports an error and the cache treats it
+	// as a miss. The live record is always the file's last one, since
+	// each repair appends.
+	cache := openTestCache(t)
 	var runs atomic.Int32
 	cell := countingCell(&runs, fp{Machine: "t3e", Procs: 2}, 7)
 
@@ -92,22 +95,36 @@ func TestCorruptedEntryFallsBackToRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, corruption := range []string{"{truncated", `{"key":"x","value":"not an int"}`, ""} {
-		if err := os.WriteFile(cache.path(key), []byte(corruption), 0o644); err != nil {
+	doc, ok, err := cache.Store().Get(key)
+	if err != nil || !ok {
+		t.Fatalf("entry not stored: %v", err)
+	}
+	recSize := 8 + 1 + 4 + len(key) + len(doc)
+	for _, corruption := range []struct {
+		name string
+		at   int // byte offset within the live record
+	}{{"length prefix", 0}, {"checksum", 4}, {"value", recSize - 1}} {
+		seg := segmentFile(t, cache)
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-recSize+corruption.at] ^= 0xff
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		before := runs.Load()
 		res := Sweep([]Cell[int]{cell}, Options{Cache: cache})
 		if res[0].Cached || res[0].Err != nil || res[0].Value != 7 {
-			t.Fatalf("corrupted entry %q not recomputed: %+v", corruption, res[0])
+			t.Fatalf("corrupted %s not recomputed: %+v", corruption.name, res[0])
 		}
 		if runs.Load() != before+1 {
-			t.Fatalf("corrupted entry %q: body not re-invoked", corruption)
+			t.Fatalf("corrupted %s: body not re-invoked", corruption.name)
 		}
 		// The recompute must repair the entry.
 		res = Sweep([]Cell[int]{cell}, Options{Cache: cache})
 		if !res[0].Cached || res[0].Value != 7 {
-			t.Fatalf("entry not repaired after corruption %q: %+v", corruption, res[0])
+			t.Fatalf("entry not repaired after corrupted %s: %+v", corruption.name, res[0])
 		}
 	}
 }
@@ -117,7 +134,7 @@ func TestNullValueEntryFallsBackToRecompute(t *testing.T) {
 	// pointer-typed result by setting it to nil — a poisoned hit that
 	// downstream code dereferences. It must be treated as corruption:
 	// miss, recompute, repair.
-	cache := openFlatCache(t)
+	cache := openTestCache(t)
 	var runs atomic.Int32
 	type payload struct{ N int }
 	cell := Cell[*payload]{
@@ -134,7 +151,7 @@ func TestNullValueEntryFallsBackToRecompute(t *testing.T) {
 		`{"key":"ptr-cell","fingerprint":{},"value":null}`,
 		"\x00\x01binary garbage\xff",
 	} {
-		if err := os.WriteFile(cache.path(key), []byte(corruption), 0o644); err != nil {
+		if err := cache.Store().Put(key, []byte(corruption)); err != nil {
 			t.Fatal(err)
 		}
 		before := runs.Load()
@@ -196,13 +213,13 @@ func TestFailedCellNotStored(t *testing.T) {
 }
 
 func TestCacheEntryIsInspectable(t *testing.T) {
-	cache := openFlatCache(t)
+	cache := openTestCache(t)
 	cell := countingCell(new(atomic.Int32), fp{Machine: "sx5", Procs: 4}, 5)
 	Sweep([]Cell[int]{cell}, Options{Cache: cache})
 	key, _ := cache.keyFor(cell.Fingerprint)
-	data, err := os.ReadFile(cache.path(key))
-	if err != nil {
-		t.Fatal(err)
+	data, ok, err := cache.Store().Get(key)
+	if err != nil || !ok {
+		t.Fatalf("entry not stored: %v", err)
 	}
 	for _, want := range []string{`"key"`, `"fingerprint"`, `"value"`, "sx5"} {
 		if !strings.Contains(string(data), want) {

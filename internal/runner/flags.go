@@ -8,12 +8,10 @@ import (
 )
 
 // Flags bundles the standard sweep CLI knobs so every command spells
-// them the same way: -j (workers), -cache (directory), -cache-backend,
-// -no-cache.
+// them the same way: -j (workers), -cache (directory), -no-cache.
 type Flags struct {
 	J       int
 	Dir     string
-	Backend string
 	NoCache bool
 }
 
@@ -21,24 +19,22 @@ type Flags struct {
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.J, "j", runtime.GOMAXPROCS(0), "parallel workers for independent simulation cells")
 	fs.StringVar(&f.Dir, "cache", DefaultCacheDir, "result cache directory")
-	fs.StringVar(&f.Backend, "cache-backend", BackendStore, "cache backend: store (segment log) or flat (one file per entry)")
 	fs.BoolVar(&f.NoCache, "no-cache", false, "recompute everything, ignore and do not write the cache")
 }
 
 // Options resolves the flags into sweep Options with progress on
-// stderr. A cache directory that cannot be created degrades to an
-// uncached run with a warning — it never aborts the sweep — and a
-// store backend another process has locked degrades to flat entries
-// the lock holder migrates in later.
+// stderr. A cache that cannot be opened degrades to an uncached run
+// with a warning — it never aborts the sweep — and a cache another
+// process holds the lock on runs read-only, also with a warning.
 func (f *Flags) Options(label string) Options {
 	opt := Options{Workers: f.J, Progress: os.Stderr, Label: label}
 	if !f.NoCache {
-		c, err := OpenCacheBackend(f.Dir, f.Backend)
+		c, err := OpenCache(f.Dir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: cache disabled: %v\n", label, err)
 		} else {
-			if err := c.Degraded(); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: cache degraded to flat backend: %v\n", label, err)
+			if c.ReadOnly() {
+				fmt.Fprintf(os.Stderr, "%s: cache read-only: another process holds the lock on %s; new results are not saved\n", label, c.Dir())
 			}
 			opt.Cache = c
 		}

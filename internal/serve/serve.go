@@ -45,12 +45,10 @@ type Config struct {
 	Workers int
 
 	// CacheDir roots the shared result cache ("" means
-	// runner.DefaultCacheDir); CacheBackend selects its layout ("" means
-	// runner.BackendStore); NoCache disables on-disk memoisation
+	// runner.DefaultCacheDir); NoCache disables on-disk memoisation
 	// (in-flight dedupe still applies).
-	CacheDir     string
-	CacheBackend string
-	NoCache      bool
+	CacheDir string
+	NoCache  bool
 
 	// QueueLimit bounds cells admitted but not yet finished,
 	// server-wide; a submission that would exceed it is rejected with
@@ -111,7 +109,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	var cache *runner.Cache
 	if !cfg.NoCache {
-		c, err := runner.OpenCacheBackend(cfg.CacheDir, cfg.CacheBackend)
+		c, err := runner.OpenCache(cfg.CacheDir)
 		if err != nil {
 			return nil, err
 		}
@@ -153,13 +151,10 @@ func (s *Server) CacheDir() string {
 	return s.cache.Dir()
 }
 
-// CacheBackend reports the active cache backend (runner.BackendStore
-// or runner.BackendFlat), or "" when caching is disabled.
-func (s *Server) CacheBackend() string {
-	if s.cache == nil {
-		return ""
-	}
-	return s.cache.Backend()
+// CacheReadOnly reports whether the shared cache opened read-only
+// because another process holds its writer lock.
+func (s *Server) CacheReadOnly() bool {
+	return s.cache != nil && s.cache.ReadOnly()
 }
 
 // Handler returns the full route table.
@@ -179,8 +174,8 @@ func (s *Server) Handler() http.Handler {
 
 // Drain gracefully retires the server: admission stops (submissions
 // get 503 reason "draining"), every admitted cell — queued or running
-// — completes, job watchers flush, the cache's store backend releases
-// its writer lock, and Drain returns. The result cache needs no
+// — completes, job watchers flush, the cache's store releases its
+// writer lock, and Drain returns. The result cache needs no
 // separate flush: every entry is written atomically at cell
 // completion. Returns ctx.Err if the context expires first; cells
 // still running are not interrupted (and the cache stays open so they

@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcbench/beff/internal/obs"
 	"github.com/hpcbench/beff/internal/runner"
+	"github.com/hpcbench/beff/internal/store"
 )
 
 // newTestServer builds a Server with a per-test cache directory and
@@ -570,13 +572,13 @@ func TestCacheSharedAcrossRequests(t *testing.T) {
 	}
 }
 
-// TestStoreMetricsExported: the cache's store backend publishes its
+// TestStoreMetricsExported: the cache's store publishes its
 // instruments into the service registry, so /metrics exposes segment
 // and entry gauges plus the swallowed-persistence-failure counter.
 func TestStoreMetricsExported(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	if got := s.CacheBackend(); got != runner.BackendStore {
-		t.Fatalf("cache backend = %q", got)
+	if s.CacheReadOnly() {
+		t.Fatal("cache opened read-only")
 	}
 	code, data := post(t, ts, "/api/v1/sweeps", quickSpec)
 	if code != http.StatusAccepted {
@@ -598,7 +600,6 @@ func TestStoreMetricsExported(t *testing.T) {
 		"store_bytes_live",
 		"store_compactions_total",
 		"runner_cache_store_errors_total",
-		"runner_cache_migrated_total",
 	} {
 		if !strings.Contains(string(body), name) {
 			t.Fatalf("/metrics missing %s:\n%s", name, body)
@@ -617,53 +618,163 @@ func TestStoreMetricsExported(t *testing.T) {
 }
 
 // TestGoldenAcrossCacheBackends is the migration acceptance pin: the
-// same golden cell served from a flat cache, from a store that
-// migrated that flat cache, and from a fresh store must all be
-// byte-identical to the corpus entry.
+// same golden cell served from a fresh store, and from a store that
+// `beffstore migrate` built out of a flat cache holding that store's
+// entries, must both be byte-identical to the corpus entry.
 func TestGoldenAcrossCacheBackends(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("..", "check", "testdata", "golden", "beff_t3e.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetch := func(t *testing.T, cfg Config) (*Server, []byte) {
-		s, ts := newTestServer(t, cfg)
+	fetch := func(t *testing.T, dir string) (JobStatus, []byte) {
+		_, ts := newTestServer(t, Config{Workers: 2, CacheDir: dir})
 		code, data := post(t, ts, "/api/v1/sweeps", goldenSpec)
 		if code != http.StatusAccepted {
 			t.Fatalf("submit: %d: %s", code, data)
 		}
 		st := decodeStatus(t, data)
-		waitState(t, ts, st.ID, func(j JobStatus) bool { return j.State == "done" })
+		st = waitState(t, ts, st.ID, func(j JobStatus) bool { return j.State == "done" })
 		code, cell := get(t, ts, "/api/v1/jobs/"+st.ID+"/cells/0")
 		if code != http.StatusOK {
 			t.Fatalf("cell fetch: %d: %s", code, cell)
 		}
-		return s, cell
+		return st, cell
 	}
 
-	dir := filepath.Join(t.TempDir(), "cache")
-	t.Run("flat", func(t *testing.T) {
-		_, cell := fetch(t, Config{Workers: 2, CacheDir: dir, CacheBackend: runner.BackendFlat})
-		if !bytes.Equal(cell, want) {
-			t.Fatalf("flat backend differs from golden (%d vs %d bytes)", len(cell), len(want))
-		}
-	})
-	t.Run("migrated-store", func(t *testing.T) {
-		// Same cache dir, store backend: the cell is served through
-		// read-through migration of the flat entry, not recomputed.
-		s, cell := fetch(t, Config{Workers: 2, CacheDir: dir})
-		if !bytes.Equal(cell, want) {
-			t.Fatalf("migrated store differs from golden (%d vs %d bytes)", len(cell), len(want))
-		}
-		if v, ok := s.Registry().Snapshot().Get("runner_cache_migrated_total"); !ok || v.Value == 0 {
-			t.Fatalf("cell was not served via migration: %+v, %v", v, ok)
-		}
-	})
+	fresh := filepath.Join(t.TempDir(), "fresh")
 	t.Run("fresh-store", func(t *testing.T) {
-		_, cell := fetch(t, Config{Workers: 2, CacheDir: filepath.Join(t.TempDir(), "fresh")})
+		_, cell := fetch(t, fresh)
 		if !bytes.Equal(cell, want) {
 			t.Fatalf("fresh store differs from golden (%d vs %d bytes)", len(cell), len(want))
 		}
 	})
+	t.Run("migrated-store", func(t *testing.T) {
+		// Write the fresh store's entries as the flat layout older
+		// versions left (one <key>.json file per entry), migrate them,
+		// and serve the cell from the migrated store without
+		// recomputing it.
+		dir := filepath.Join(t.TempDir(), "migrated")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		src, err := store.Open(fresh, store.Options{ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = src.Scan(func(key string, doc []byte) error {
+			return os.WriteFile(filepath.Join(dir, key+".json"), doc, 0o644)
+		})
+		src.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved, skipped, err := runner.MigrateFlat(dst)
+		dst.Close()
+		if err != nil || moved != 1 || len(skipped) != 0 {
+			t.Fatalf("migrate: moved %d, skipped %v, err %v", moved, skipped, err)
+		}
+		st, cell := fetch(t, dir)
+		if !bytes.Equal(cell, want) {
+			t.Fatalf("migrated store differs from golden (%d vs %d bytes)", len(cell), len(want))
+		}
+		if st.CellsCached != 1 {
+			t.Fatalf("cell recomputed instead of served from the migrated entry: cached=%d", st.CellsCached)
+		}
+	})
+}
+
+// TestCLICacheBesideServerIsReadOnly: a CLI sweep on the directory a
+// running server holds the lock on opens its cache read-only. It hits
+// the server's earlier entries, computes misses to the server's exact
+// bytes, counts every write it skips, and leaves nothing but the
+// store's own files in the directory.
+func TestCLICacheBesideServerIsReadOnly(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	s, ts := newTestServer(t, Config{Workers: 2, CacheDir: dir})
+	serverCell := func(spec string) JobStatus {
+		t.Helper()
+		code, data := post(t, ts, "/api/v1/sweeps", spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: %d: %s", code, data)
+		}
+		st := decodeStatus(t, data)
+		return waitState(t, ts, st.ID, func(j JobStatus) bool { return j.State == "done" })
+	}
+	cellBytes := func(id string) []byte {
+		t.Helper()
+		code, cell := get(t, ts, "/api/v1/jobs/"+id+"/cells/0")
+		if code != http.StatusOK {
+			t.Fatalf("cell fetch: %d: %s", code, cell)
+		}
+		return cell
+	}
+	const hitSpec = `{"bench":"beff","machines":["t3e"],"procs":[4],"lmax_override":1024,"max_looplength":1}`
+	const missSpec = `{"bench":"beff","machines":["t3e"],"procs":[8],"lmax_override":1024,"max_looplength":1}`
+	hitJob := serverCell(hitSpec)
+
+	rf := runner.Flags{J: 1, Dir: dir}
+	opt := rf.Options("cli")
+	if opt.Cache == nil || !opt.Cache.ReadOnly() {
+		t.Fatalf("CLI cache beside the server is not read-only: %+v", opt.Cache)
+	}
+	defer opt.Cache.Close()
+	reg := obs.New()
+	opt.Cache.Instrument(reg)
+	cli := func(spec string) ([]byte, bool) {
+		t.Helper()
+		var req SweepRequest
+		if err := json.Unmarshal([]byte(spec), &req); err != nil {
+			t.Fatal(err)
+		}
+		req.normalize()
+		if err := req.validate(); err != nil {
+			t.Fatal(err)
+		}
+		tasks, err := req.tasks(opt.Cache, nil)
+		if err != nil || len(tasks) != 1 {
+			t.Fatalf("tasks: %d, %v", len(tasks), err)
+		}
+		value, cached, err := tasks[0].Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return value, cached
+	}
+
+	hit, cached := cli(hitSpec)
+	if !cached || !bytes.Equal(hit, cellBytes(hitJob.ID)) {
+		t.Fatalf("server entry not served as a byte-identical hit (cached=%v)", cached)
+	}
+	miss, cached := cli(missSpec)
+	if cached {
+		t.Fatal("unknown cell served as a hit")
+	}
+	if got := reg.Counter("runner_cache_store_errors_total").Value(); got != 1 {
+		t.Fatalf("skipped writes counted %d, want 1", got)
+	}
+	// The CLI saved nothing, so the server computes the miss itself —
+	// to the same bytes.
+	missJob := serverCell(missSpec)
+	if missJob.CellsCached != 0 || !bytes.Equal(miss, cellBytes(missJob.ID)) {
+		t.Fatalf("CLI miss differs from the server's result (server cached=%d)", missJob.CellsCached)
+	}
+	if s.CacheReadOnly() {
+		t.Fatal("server cache reports read-only")
+	}
+
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if name := ent.Name(); name != "LOCK" && !strings.HasPrefix(name, "seg-") {
+			t.Fatalf("non-store file %s in the cache directory", name)
+		}
+	}
 }
 
 // TestFleetSweep submits a fleet: true request and checks the result

@@ -29,9 +29,10 @@
 //     process and read-only Opens from other processes — never take
 //     it.
 //
-// The runner's result cache (internal/runner) fronts this store with
-// a transparent read-through migration from the legacy flat layout;
-// cmd/beffstore is the inspection/compaction/migration CLI.
+// The runner's result cache (internal/runner) keeps every entry in
+// this store, opening it read-only when another process holds the
+// lock; cmd/beffstore is the inspection/compaction CLI and converts
+// the flat one-file-per-entry caches of older versions offline.
 package store
 
 import (
