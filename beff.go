@@ -26,8 +26,7 @@ import (
 	"github.com/hpcbench/beff/internal/beffio"
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/machine"
-	"github.com/hpcbench/beff/internal/mpi"
-	"github.com/hpcbench/beff/internal/simfs"
+	"github.com/hpcbench/beff/internal/runner"
 )
 
 // BandwidthOptions configures a b_eff run; the zero value uses the
@@ -58,50 +57,29 @@ func LookupMachine(key string) (*Profile, error) { return machine.Lookup(key) }
 // MeasureBandwidth runs the effective bandwidth benchmark b_eff on a
 // named machine profile with the given number of MPI processes.
 func MeasureBandwidth(machineKey string, procs int, opt BandwidthOptions) (*BandwidthResult, error) {
-	p, err := machine.Lookup(machineKey)
-	if err != nil {
-		return nil, err
-	}
-	w, err := p.BuildWorld(procs)
-	if err != nil {
-		return nil, err
-	}
-	if opt.MemoryPerProc == 0 && opt.LmaxOverride == 0 {
-		opt.MemoryPerProc = p.MemoryPerProc
-	}
-	return core.Run(w, opt)
+	return runner.BeffCell(runner.CellSpec{Machine: machineKey, Procs: procs, Beff: opt}).Run()
 }
 
 // MeasureIO runs the effective I/O bandwidth benchmark b_eff_io on a
 // named machine profile with the given number of I/O processes, against
 // a fresh instance of the profile's filesystem.
 func MeasureIO(machineKey string, procs int, opt IOOptions) (*IOResult, error) {
-	p, err := machine.Lookup(machineKey)
-	if err != nil {
-		return nil, err
-	}
-	if opt.MPart == 0 {
-		opt.MPart = p.MPart()
-	}
-	w, fs, err := ioSetup(p)(procs)
-	if err != nil {
-		return nil, err
-	}
-	return beffio.Run(w, fs, opt)
+	return runner.BeffIOCell(runner.CellSpec{Machine: machineKey, Procs: procs, IO: opt}).Run()
 }
 
 // MeasureIOSweep runs b_eff_io over several partition sizes and
 // returns one result per size; the system value is the maximum (use
 // beffio.SystemValue or scan yourself).
 func MeasureIOSweep(machineKey string, sizes []int, opt IOOptions) ([]*IOResult, error) {
-	p, err := machine.Lookup(machineKey)
-	if err != nil {
-		return nil, err
+	var out []*IOResult
+	for _, n := range sizes {
+		res, err := MeasureIO(machineKey, n, opt)
+		if err != nil {
+			return out, fmt.Errorf("beffio: partition %d: %w", n, err)
+		}
+		out = append(out, res)
 	}
-	if opt.MPart == 0 {
-		opt.MPart = p.MPart()
-	}
-	return beffio.Sweep(ioSetup(p), sizes, opt)
+	return out, nil
 }
 
 // BalanceFactor computes b_eff / R_max in bytes per flop — Fig. 1's
@@ -112,18 +90,4 @@ func BalanceFactor(p *Profile, res *BandwidthResult) float64 {
 		return 0
 	}
 	return res.Beff / (r * 1e9)
-}
-
-func ioSetup(p *machine.Profile) func(procs int) (mpi.WorldConfig, *simfs.FS, error) {
-	return func(procs int) (mpi.WorldConfig, *simfs.FS, error) {
-		w, err := p.BuildIOWorld(procs)
-		if err != nil {
-			return mpi.WorldConfig{}, nil, err
-		}
-		fs, err := p.BuildFS()
-		if err != nil {
-			return mpi.WorldConfig{}, nil, fmt.Errorf("machine %s: %w", p.Key, err)
-		}
-		return w, fs, nil
-	}
 }

@@ -52,7 +52,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "compare: %s capped at %d processes\n", key, n)
 		}
 		profiles = append(profiles, p)
-		cells = append(cells, runner.BeffCell(key, n, opt))
+		cells = append(cells, runner.BeffCell(runner.CellSpec{Machine: key, Procs: n, Beff: opt}))
 	}
 	results := runner.Sweep(cells, rf.Options("compare"))
 	if err := runner.Err(results); err != nil {

@@ -93,64 +93,35 @@ func main() {
 	o := c.StartObs()
 	sweepOpt := o.SweepOptions(rf.Options("robustness"))
 
-	var bench string
-	var values []float64
-	var base float64
 	var chk *check.Checker
 	if c.Check {
 		chk = check.New()
 	}
+	// The repetitions share one spec; -shards threads through to the
+	// b_eff cells, whose perturbed repetitions re-simulate rather than
+	// speculate, so values are byte-identical at every shard count.
+	spec := runner.CellSpec{Machine: c.Machine, Procs: c.Procs, Perturb: pert, Seed: c.Seed, Shards: c.Shards, Obs: o.Reg}
+	var bench string
+	var values []float64
+	var base float64
 	if *ioBench {
 		bench = "b_eff_io"
-		opt := beffio.Options{T: des.DurationOf(*tSecs), MPart: p.MPart()}
-		cells := make([]runner.Cell[*beffio.Result], 0, c.Reps+1)
-		for r := 0; r < c.Reps; r++ {
-			cells = append(cells, runner.RobustBeffIOCell(c.Machine, c.Procs, opt, pert, c.Seed, r))
-		}
-		if *baseline {
-			cells = append(cells, runner.RobustBeffIOCell(c.Machine, c.Procs, opt, nil, 0, 0))
-		}
-		results := runner.Sweep(cells, sweepOpt)
-		o.Close()
-		c.Fatal(runner.Err(results))
-		for _, r := range results {
+		spec.IO = beffio.Options{T: des.DurationOf(*tSecs), MPart: p.MPart()}
+		values, base = sweepReps(c, o, sweepOpt, runner.BeffIOCell, spec, *baseline, func(r *beffio.Result) float64 {
 			if chk != nil {
-				chk.VerifyBeffIO(r.Value)
+				chk.VerifyBeffIO(r)
 			}
-		}
-		for r := 0; r < c.Reps; r++ {
-			values = append(values, results[r].Value.BeffIO)
-		}
-		if *baseline {
-			base = results[c.Reps].Value.BeffIO
-		}
+			return r.BeffIO
+		})
 	} else {
 		bench = "b_eff"
-		opt := core.Options{MemoryPerProc: p.MemoryPerProc, MaxLooplength: *maxLoop, Reps: *innerReps}
-		// -shards threads through to the cells; perturbed repetitions
-		// re-simulate rather than speculate (see RobustBeffCellShards),
-		// so values are byte-identical at every shard count.
-		cells := make([]runner.Cell[*core.Result], 0, c.Reps+1)
-		for r := 0; r < c.Reps; r++ {
-			cells = append(cells, runner.RobustBeffCellShards(c.Machine, c.Procs, opt, pert, c.Seed, r, c.Shards, o.Reg))
-		}
-		if *baseline {
-			cells = append(cells, runner.RobustBeffCellShards(c.Machine, c.Procs, opt, nil, 0, 0, c.Shards, o.Reg))
-		}
-		results := runner.Sweep(cells, sweepOpt)
-		o.Close()
-		c.Fatal(runner.Err(results))
-		for _, r := range results {
+		spec.Beff = core.Options{MemoryPerProc: p.MemoryPerProc, MaxLooplength: *maxLoop, Reps: *innerReps}
+		values, base = sweepReps(c, o, sweepOpt, runner.BeffCell, spec, *baseline, func(r *core.Result) float64 {
 			if chk != nil {
-				chk.VerifyBeff(r.Value)
+				chk.VerifyBeff(r)
 			}
-		}
-		for r := 0; r < c.Reps; r++ {
-			values = append(values, results[r].Value.Beff)
-		}
-		if *baseline {
-			base = results[c.Reps].Value.Beff
-		}
+			return r.Beff
+		})
 	}
 
 	rob := runner.SummarizeReps(values)
@@ -189,4 +160,29 @@ func main() {
 		c.Fatal(f.Close())
 		fmt.Printf("wrote %s\n", *csvPath)
 	}
+}
+
+// sweepReps runs repetitions 0..c.Reps-1 of spec, then with baseline
+// the same cell unperturbed, and returns each repetition's value and
+// the baseline's (0 without one). value reads (and checks) one result.
+func sweepReps[T any](c *cli.Config, o *cli.Obs, opt runner.Options, mk func(runner.CellSpec) runner.Cell[T], spec runner.CellSpec, baseline bool, value func(T) float64) ([]float64, float64) {
+	cells := make([]runner.Cell[T], 0, c.Reps+1)
+	for spec.Rep = 0; spec.Rep < c.Reps; spec.Rep++ {
+		cells = append(cells, mk(spec))
+	}
+	if baseline {
+		spec.Perturb = nil
+		cells = append(cells, mk(spec))
+	}
+	results := runner.Sweep(cells, opt)
+	o.Close()
+	c.Fatal(runner.Err(results))
+	values := make([]float64, len(results))
+	for i, r := range results {
+		values[i] = value(r.Value)
+	}
+	if baseline {
+		return values[:c.Reps], values[c.Reps]
+	}
+	return values, 0
 }

@@ -69,14 +69,18 @@ func main() {
 		}},
 	}
 
-	// One cell per measurement: the baseline first, then each knob.
-	cells := []runner.Cell[*core.Result]{
-		runner.BeffConfigCell("baseline", base, *procs, opt),
+	// One cell per measurement, labelled by its knob: the baseline
+	// first, then each knob.
+	cell := func(name string, cf machine.ConfigFile) runner.Cell[*core.Result] {
+		c := runner.BeffCell(runner.CellSpec{Config: &cf, Procs: *procs, Beff: opt})
+		c.Key = name
+		return c
 	}
+	cells := []runner.Cell[*core.Result]{cell("baseline", base)}
 	for _, k := range knobs {
 		cf := base // value copy; nested slices absent in the schema
 		k.apply(&cf, *scale)
-		cells = append(cells, runner.BeffConfigCell(k.name, cf, *procs, opt))
+		cells = append(cells, cell(k.name, cf))
 	}
 	results := runner.Sweep(cells, rf.Options("sensitivity"))
 	if err := runner.Err(results); err != nil {

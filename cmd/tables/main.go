@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,15 +44,19 @@ var (
 
 // writeCSV drops an experiment's data into the csvdir, if requested.
 func writeCSV(name string, header []string, rows [][]string) {
+	writeArtifact(name, func(w io.Writer) error { return report.CSV(w, header, rows) })
+}
+
+// writeArtifact creates name in the csvdir, if requested, and fills it
+// with write.
+func writeArtifact(name string, write func(io.Writer) error) {
 	if *csvDir == "" {
 		return
 	}
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		fatal(err)
-	}
+	fatal(os.MkdirAll(*csvDir, 0o755))
 	f, err := os.Create(filepath.Join(*csvDir, name))
 	fatal(err)
-	fatal(report.CSV(f, header, rows))
+	fatal(write(f))
 	fatal(f.Close())
 }
 
@@ -90,51 +95,38 @@ func main() {
 	}
 }
 
-func beffOpt() core.Options {
-	return core.Options{MaxLooplength: *maxLoop, Reps: 1, SkipAnalysis: true}
-}
-
-// beffSpec names one b_eff cell of a figure or table.
-type beffSpec struct {
-	key   string
-	procs int
-}
-
-// beffSweep measures every spec through the runner and returns the
-// results in spec order. Table 1 and Fig. 1 overlap in specs, so with
-// the cache on, the second one renders from the first one's cells.
-func beffSweep(label string, specs []beffSpec) []*core.Result {
+// beffSweep measures b_eff on every (machine, procs) spec through the
+// runner and returns the results in spec order. Table 1 and Fig. 1
+// overlap in specs, so with the cache on, the second one renders from
+// the first one's cells.
+func beffSweep(label string, specs []runner.CellSpec) []*core.Result {
 	cells := make([]runner.Cell[*core.Result], len(specs))
 	for i, s := range specs {
-		cells[i] = runner.BeffCell(s.key, s.procs, beffOpt())
+		s.Beff = core.Options{MaxLooplength: *maxLoop, Reps: 1, SkipAnalysis: true}
+		cells[i] = runner.BeffCell(s)
 	}
+	return sweep(label, cells)
+}
+
+// sweep runs the cells through the runner and returns their values in
+// cell order, exiting on any failed cell.
+func sweep[T any](label string, cells []runner.Cell[T]) []T {
 	results := runner.Sweep(cells, rflags.Options(label))
-	if err := runner.Err(results); err != nil {
-		fatal(err)
-	}
+	fatal(runner.Err(results))
 	return runner.Values(results)
 }
 
-// ioSweep does the same for b_eff_io cells.
-func ioSweep(label string, cells []runner.Cell[*beffio.Result]) []*beffio.Result {
-	results := runner.Sweep(cells, rflags.Options(label))
-	if err := runner.Err(results); err != nil {
-		fatal(err)
-	}
-	return runner.Values(results)
+// machineSizes lists the partition sizes measured on one machine.
+type machineSizes struct {
+	key   string
+	procs []int
 }
 
 // table1Sizes lists the (machine, procs) pairs of Table 1; the quick
 // variant trims the largest partitions.
-func table1Sizes() []struct {
-	key   string
-	procs []int
-} {
+func table1Sizes() []machineSizes {
 	if *full {
-		return []struct {
-			key   string
-			procs []int
-		}{
+		return []machineSizes{
 			{"t3e", []int{512, 256, 128, 64, 24, 2}},
 			{"sr8000-rr", []int{128, 24}},
 			{"sr8000-seq", []int{24}},
@@ -145,10 +137,7 @@ func table1Sizes() []struct {
 			{"sv1", []int{15}},
 		}
 	}
-	return []struct {
-		key   string
-		procs []int
-	}{
+	return []machineSizes{
 		{"t3e", []int{64, 24, 2}},
 		{"sr8000-rr", []int{24}},
 		{"sr8000-seq", []int{24}},
@@ -168,10 +157,10 @@ func mustLookup(key string) *machine.Profile {
 
 func runTable1() {
 	fmt.Println("=== Table 1: Effective Benchmark Results ===")
-	var specs []beffSpec
+	var specs []runner.CellSpec
 	for _, m := range table1Sizes() {
 		for _, n := range m.procs {
-			specs = append(specs, beffSpec{m.key, n})
+			specs = append(specs, runner.CellSpec{Machine: m.key, Procs: n})
 		}
 	}
 	measured := beffSweep("table1", specs)
@@ -213,9 +202,9 @@ func runTable1() {
 
 func runFig1() {
 	fmt.Println("=== Figure 1: Balance factor ===")
-	var specs []beffSpec
+	var specs []runner.CellSpec
 	for _, m := range table1Sizes() {
-		specs = append(specs, beffSpec{m.key, m.procs[0]})
+		specs = append(specs, runner.CellSpec{Machine: m.key, Procs: m.procs[0]})
 	}
 	measured := beffSweep("fig1", specs)
 	var rows []report.BalanceRow
@@ -271,13 +260,13 @@ func runFig3() {
 					SkipTypes:         []beffio.PatternType{beffio.Segmented},
 					MaxRepsPerPattern: 1 << 14,
 				}
-				cell := runner.BeffIOCell(key, n, opt)
+				cell := runner.BeffIOCell(runner.CellSpec{Machine: key, Procs: n, IO: opt})
 				cell.Key = fmt.Sprintf("beffio:%s@%d,T=%.0fs", key, n, t)
 				cells = append(cells, cell)
 			}
 		}
 	}
-	measured := ioSweep("fig3", cells)
+	measured := sweep("fig3", cells)
 	var series []report.Series
 	for si, sp := range specs {
 		s := report.Series{Name: fmt.Sprintf("%s T=%.0fs", sp.key, sp.t), Points: map[int]float64{}}
@@ -300,26 +289,18 @@ func runFig4() {
 	keys := []string{"sp", "t3e", "sr8000-seq", "sx5"}
 	var cells []runner.Cell[*beffio.Result]
 	for _, key := range keys {
-		cells = append(cells, runner.BeffIOCell(key, procs[key], beffio.Options{
+		cells = append(cells, runner.BeffIOCell(runner.CellSpec{Machine: key, Procs: procs[key], IO: beffio.Options{
 			T:                 des.DurationOf(*ioT),
 			MaxRepsPerPattern: 1 << 14,
-		}))
+		}}))
 	}
-	measured := ioSweep("fig4", cells)
+	measured := sweep("fig4", cells)
 	for i, key := range keys {
 		p := mustLookup(key)
 		res := measured[i]
 		fmt.Printf("\n--- %s (%s) ---\n", p.Name, p.FS.Name)
 		fmt.Print(report.BeffIOProtocol(res))
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fatal(err)
-			}
-			f, err := os.Create(filepath.Join(*csvDir, "fig4_"+key+".csv"))
-			fatal(err)
-			fatal(report.BeffIOCSV(f, key, res))
-			fatal(f.Close())
-		}
+		writeArtifact("fig4_"+key+".csv", func(w io.Writer) error { return report.BeffIOCSV(w, key, res) })
 	}
 	fmt.Println()
 }
@@ -344,13 +325,13 @@ func runFig5() {
 	var cells []runner.Cell[*beffio.Result]
 	for _, key := range keys {
 		for _, n := range sizesFor[key] {
-			cells = append(cells, runner.BeffIOCell(key, n, beffio.Options{
+			cells = append(cells, runner.BeffIOCell(runner.CellSpec{Machine: key, Procs: n, IO: beffio.Options{
 				T:                 des.DurationOf(*ioT),
 				MaxRepsPerPattern: 1 << 14,
-			}))
+			}}))
 		}
 	}
-	measured := ioSweep("fig5", cells)
+	measured := sweep("fig5", cells)
 	var series []report.Series
 	i := 0
 	for _, key := range keys {

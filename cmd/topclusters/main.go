@@ -22,6 +22,7 @@ import (
 	"github.com/hpcbench/beff/internal/des"
 	"github.com/hpcbench/beff/internal/machine"
 	"github.com/hpcbench/beff/internal/report"
+	"github.com/hpcbench/beff/internal/runner"
 )
 
 func main() {
@@ -47,28 +48,20 @@ func main() {
 
 	// Communication benchmark: must run on the whole requested
 	// partition (b_eff computes an aggregate).
-	w, err := p.BuildWorld(*procs)
-	fatal(err)
-	bres, err := core.Run(w, core.Options{
-		MemoryPerProc: p.MemoryPerProc,
+	bres, err := runner.BeffCell(runner.CellSpec{Machine: p.Key, Procs: *procs, Beff: core.Options{
 		MaxLooplength: *maxLoop,
 		Reps:          1,
-	})
+	}}).Run()
 	fatal(err)
 	fmt.Fprintf(os.Stderr, "b_eff done: %.1f MB/s\n", bres.Beff/1e6)
 	fatal(report.SKaMPIBeff(out, p.Key, bres))
 
 	// I/O benchmark, when the machine has an I/O model.
 	if p.FS != nil {
-		iw, err := p.BuildIOWorld(*procs)
-		fatal(err)
-		fs, err := p.BuildFS()
-		fatal(err)
-		iores, err := beffio.Run(iw, fs, beffio.Options{
+		iores, err := runner.BeffIOCell(runner.CellSpec{Machine: p.Key, Procs: *procs, IO: beffio.Options{
 			T:                 des.DurationOf(*ioMinutes * 60),
-			MPart:             p.MPart(),
 			MaxRepsPerPattern: 1 << 14,
-		})
+		}}).Run()
 		fatal(err)
 		fmt.Fprintf(os.Stderr, "b_eff_io done: %.1f MB/s\n", iores.BeffIO/1e6)
 		fatal(report.SKaMPIBeffIO(out, p.Key, iores))

@@ -36,11 +36,11 @@ func main() {
 	var cells []runner.Cell[*beffio.Result]
 	for _, key := range keys {
 		for _, n := range sizes {
-			cells = append(cells, runner.BeffIOCell(key, n, beffio.Options{
+			cells = append(cells, runner.BeffIOCell(runner.CellSpec{Machine: key, Procs: n, IO: beffio.Options{
 				T:                 30 * des.Second,
 				SkipTypes:         []beffio.PatternType{beffio.Segmented},
 				MaxRepsPerPattern: 1 << 12,
-			}))
+			}}))
 		}
 	}
 	results := runner.Sweep(cells, rf.Options("scalingstudy"))

@@ -155,7 +155,7 @@ func TestGoldenRobustness(t *testing.T) {
 			c := check.New()
 			values := make([]float64, 0, reps)
 			for rep := 0; rep < reps; rep++ {
-				cell := runner.RobustBeffCell(key, 4, goldenBeffOptions(), prof, 1, rep)
+				cell := runner.BeffCell(runner.CellSpec{Machine: key, Procs: 4, Beff: goldenBeffOptions(), Perturb: prof, Seed: 1, Rep: rep})
 				res, err := cell.Run()
 				if err != nil {
 					t.Fatal(err)

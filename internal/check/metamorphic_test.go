@@ -39,8 +39,8 @@ func TestCacheHitEquivalence(t *testing.T) {
 	}
 	cells := func() []runner.Cell[*core.Result] {
 		return []runner.Cell[*core.Result]{
-			runner.BeffCell("cluster", 4, metaOptions()),
-			runner.BeffCell("t3e", 4, metaOptions()),
+			runner.BeffCell(runner.CellSpec{Machine: "cluster", Procs: 4, Beff: metaOptions()}),
+			runner.BeffCell(runner.CellSpec{Machine: "t3e", Procs: 4, Beff: metaOptions()}),
 		}
 	}
 	cold := runner.Sweep(cells(), runner.Options{Cache: cache})

@@ -77,10 +77,3 @@ func maxTime(a, b Time) Time {
 	}
 	return b
 }
-
-func minTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -39,7 +39,7 @@ func testConfig() machine.ConfigFile {
 func beffSweepCells() []Cell[*core.Result] {
 	var cells []Cell[*core.Result]
 	for _, procs := range []int{2, 3, 4} {
-		cells = append(cells, BeffCell("cluster", procs, quickBeff()))
+		cells = append(cells, BeffCell(CellSpec{Machine: "cluster", Procs: procs, Beff: quickBeff()}))
 	}
 	return cells
 }
@@ -99,7 +99,7 @@ func TestBeffIOCellCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := beffio.Options{T: 2 * des.Second, MaxRepsPerPattern: 16}
-	cells := []Cell[*beffio.Result]{BeffIOCell("cluster", 2, opt)}
+	cells := []Cell[*beffio.Result]{BeffIOCell(CellSpec{Machine: "cluster", Procs: 2, IO: opt})}
 	cold := Sweep(cells, Options{Cache: cache})
 	warm := Sweep(cells, Options{Cache: cache})
 	if err := Err(cold); err != nil {
@@ -115,23 +115,22 @@ func TestBeffIOCellCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBeffConfigCellFingerprintTracksKnobs mirrors cmd/sensitivity: a
+// TestConfigCellFingerprintTracksKnobs mirrors cmd/sensitivity: a
 // one-knob change to the declarative config must be a cache miss.
-func TestBeffConfigCellFingerprintTracksKnobs(t *testing.T) {
+func TestConfigCellFingerprintTracksKnobs(t *testing.T) {
 	cache, err := OpenCache(filepath.Join(t.TempDir(), "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cf := testConfig()
-	base := BeffConfigCell("baseline", cf, 4, quickBeff())
-	Sweep([]Cell[*core.Result]{base}, Options{Cache: cache})
+	cell := func(cf machine.ConfigFile) Cell[*core.Result] {
+		return BeffCell(CellSpec{Config: &cf, Procs: 4, Beff: quickBeff()})
+	}
+	Sweep([]Cell[*core.Result]{cell(cf)}, Options{Cache: cache})
 
 	tweaked := cf
 	tweaked.NIC.TxGBps *= 1.25
-	res := Sweep([]Cell[*core.Result]{
-		BeffConfigCell("baseline", cf, 4, quickBeff()),
-		BeffConfigCell("faster-nic", tweaked, 4, quickBeff()),
-	}, Options{Cache: cache})
+	res := Sweep([]Cell[*core.Result]{cell(cf), cell(tweaked)}, Options{Cache: cache})
 	if err := Err(res); err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +149,8 @@ func TestBeffConfigCellFingerprintTracksKnobs(t *testing.T) {
 // an impossible partition fails its own cell without killing the sweep.
 func TestFailedBenchmarkCellReportsError(t *testing.T) {
 	res := Sweep([]Cell[*core.Result]{
-		BeffCell("cluster", 2, quickBeff()),
-		BeffCell("no-such-machine", 2, quickBeff()),
+		BeffCell(CellSpec{Machine: "cluster", Procs: 2, Beff: quickBeff()}),
+		BeffCell(CellSpec{Machine: "no-such-machine", Procs: 2, Beff: quickBeff()}),
 	}, Options{Workers: 2})
 	if res[0].Err != nil {
 		t.Fatalf("healthy cell failed: %v", res[0].Err)

@@ -11,6 +11,8 @@ package runner
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"github.com/hpcbench/beff/internal/core"
@@ -131,16 +133,6 @@ func ladderFor(p *machine.Profile, ladder []int) []int {
 	return out
 }
 
-func (s *FleetSpec) options() core.Options {
-	return core.Options{
-		Seed:          s.Seed,
-		MaxLooplength: s.MaxLooplength,
-		Reps:          s.InnerReps,
-		SkipAnalysis:  s.SkipAnalysis,
-		LmaxOverride:  s.LmaxOverride,
-	}
-}
-
 // FleetCells expands the spec into sweep cells plus the point refs
 // the assembler needs. Cell order is deterministic: machines in spec
 // order, ladder ascending, baseline before repetitions.
@@ -148,7 +140,13 @@ func FleetCells(s *FleetSpec) ([]Cell[*core.Result], []FleetPointRef, error) {
 	if err := s.Normalize(); err != nil {
 		return nil, nil, err
 	}
-	opt := s.options()
+	opt := core.Options{
+		Seed:          s.Seed,
+		MaxLooplength: s.MaxLooplength,
+		Reps:          s.InnerReps,
+		SkipAnalysis:  s.SkipAnalysis,
+		LmaxOverride:  s.LmaxOverride,
+	}
 	var cells []Cell[*core.Result]
 	var refs []FleetPointRef
 	for _, key := range s.Machines {
@@ -158,15 +156,55 @@ func FleetCells(s *FleetSpec) ([]Cell[*core.Result], []FleetPointRef, error) {
 		}
 		for _, procs := range ladderFor(p, s.Procs) {
 			ref := FleetPointRef{Machine: key, Procs: procs, Base: len(cells)}
-			cells = append(cells, BeffCellShards(key, procs, opt, s.Shards))
-			for rep := 0; rep < s.Reps; rep++ {
+			spec := CellSpec{Machine: key, Procs: procs, Beff: opt, Shards: s.Shards}
+			cells = append(cells, BeffCell(spec))
+			spec.Perturb, spec.Seed, spec.Obs = s.Perturb, s.Seed, s.Obs
+			for spec.Rep = 0; spec.Rep < s.Reps; spec.Rep++ {
 				ref.Reps = append(ref.Reps, len(cells))
-				cells = append(cells, RobustBeffCellShards(key, procs, opt, s.Perturb, s.Seed, rep, s.Shards, s.Obs))
+				cells = append(cells, BeffCell(spec))
 			}
 			refs = append(refs, ref)
 		}
 	}
 	return cells, refs, nil
+}
+
+// CellCount normalizes the spec and counts the cells FleetCells would
+// expand it into — every machine's clamped ladder times the baseline
+// plus Reps — without expanding it, saturating at math.MaxInt. The
+// service bounds a fleet request by it.
+func (s *FleetSpec) CellCount() (int, error) {
+	if err := s.Normalize(); err != nil {
+		return 0, err
+	}
+	rungs := slices.Compact(slices.Clone(s.Procs))
+	points := 0
+	for _, key := range s.Machines {
+		p, _ := machine.Lookup(key) // Normalize checked every key
+		// ladderFor keeps the rungs below MaxProcs, plus MaxProcs
+		// itself when any rung reaches it.
+		below, _ := slices.BinarySearch(rungs, p.MaxProcs)
+		points += below + min(len(rungs)-below, 1)
+	}
+	return CellProduct(points, min(s.Reps, math.MaxInt-1)+1), nil
+}
+
+// CellProduct is the cell count of a sweep over axes of the given
+// lengths: their product, saturating at math.MaxInt, so a request with
+// absurd axes can be counted (and refused) without overflow.
+func CellProduct(axes ...int) int {
+	n := 1
+	for _, a := range axes {
+		switch {
+		case a <= 0:
+			return 0
+		case n > math.MaxInt/a:
+			n = math.MaxInt
+		default:
+			n *= a
+		}
+	}
+	return n
 }
 
 // AssembleFleet folds the swept values back into the fleet report.

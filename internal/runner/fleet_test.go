@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -174,5 +175,53 @@ func TestFleetCellOrderDeterministic(t *testing.T) {
 	// {4,16} clamps to {4,8} — still two points).
 	if wantCells := 3 * 2 * (1 + 2); len(a) != wantCells {
 		t.Errorf("cells = %d, want %d", len(a), wantCells)
+	}
+}
+
+// TestFleetCellCount: the arithmetic count equals the expansion's
+// length, clamped and duplicated ladders included, and saturates
+// instead of overflowing.
+func TestFleetCellCount(t *testing.T) {
+	for _, spec := range []*FleetSpec{
+		fleetTestSpec(),
+		{Machines: []string{"sx5"}, Procs: []int{16, 32}},
+		{Machines: []string{"sx5", "t3e", "sx5"}, Procs: []int{8, 2, 8, 4, 1024}, Reps: 3, Perturb: stragglerProfile()},
+		{Procs: []int{2, 8}, Reps: 5}, // no profile: reps clear to zero
+	} {
+		n, err := spec.CellCount()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, _, err := FleetCells(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(cells) {
+			t.Errorf("%v × %v, reps %d: counted %d cells, expanded %d", spec.Machines, spec.Procs, spec.Reps, n, len(cells))
+		}
+	}
+	huge := &FleetSpec{Machines: []string{"t3e", "sp"}, Procs: []int{4}, Reps: math.MaxInt, Perturb: stragglerProfile()}
+	if n, err := huge.CellCount(); err != nil || n != math.MaxInt {
+		t.Fatalf("overflowing fleet counted %d (%v), want saturation at math.MaxInt", n, err)
+	}
+	if _, err := (&FleetSpec{Machines: []string{"nosuch"}}).CellCount(); err == nil {
+		t.Fatal("unknown machine counted without error")
+	}
+}
+
+func TestCellProduct(t *testing.T) {
+	for _, tc := range []struct {
+		axes []int
+		want int
+	}{
+		{[]int{3, 2, 4}, 24},
+		{[]int{2, 0, math.MaxInt}, 0},
+		{[]int{1 << 62, 2}, math.MaxInt},
+		{[]int{1 << 62, 2, 0}, 0},
+		{[]int{math.MaxInt, 1}, math.MaxInt},
+	} {
+		if got := CellProduct(tc.axes...); got != tc.want {
+			t.Errorf("CellProduct(%v) = %d, want %d", tc.axes, got, tc.want)
+		}
 	}
 }

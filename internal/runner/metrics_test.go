@@ -30,7 +30,7 @@ func TestSweepMetricsDeterministicAcrossWorkers(t *testing.T) {
 		reg := obs.New()
 		cells := make([]Cell[*core.Result], 0, 4)
 		for r := 0; r < 4; r++ {
-			cells = append(cells, RobustBeffCell("t3e", 4, opt, prof, 1, r))
+			cells = append(cells, BeffCell(CellSpec{Machine: "t3e", Procs: 4, Beff: opt, Perturb: prof, Seed: 1, Rep: r}))
 		}
 		results := Sweep(cells, Options{Workers: workers, Metrics: sweepMetrics(reg)})
 		if err := Err(results); err != nil {

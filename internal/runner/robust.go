@@ -1,128 +1,14 @@
 package runner
 
-import (
-	"fmt"
+import "github.com/hpcbench/beff/internal/stats"
 
-	"github.com/hpcbench/beff/internal/beffio"
-	"github.com/hpcbench/beff/internal/core"
-	"github.com/hpcbench/beff/internal/des"
-	"github.com/hpcbench/beff/internal/machine"
-	"github.com/hpcbench/beff/internal/mpi"
-	"github.com/hpcbench/beff/internal/obs"
-	"github.com/hpcbench/beff/internal/perturb"
-	"github.com/hpcbench/beff/internal/stats"
-)
-
-// Repetition harness: run one benchmark cell N times under a
-// perturbation profile, each repetition with its own derived seed, and
-// summarise the resulting b_eff distribution. Each repetition is an
+// Repetition harness: a perturbed benchmark cell (CellSpec.Perturb)
+// run for repetitions 0..N-1, each under its own derived seed, and the
+// resulting value distribution summarised here. Each repetition is an
 // ordinary sweep cell — it parallelises over -j and caches like any
 // other cell, and because the perturbation profile and seed are part of
 // the cache fingerprint, two repetitions (or two different base seeds)
 // can never alias each other's cached results.
-
-// RobustBeffCell is BeffCell with perturbation: repetition rep of a
-// b_eff run under the profile, seeded with RepSeed(seed, rep). A nil
-// profile degenerates to an unperturbed BeffCell with an unperturbed
-// fingerprint, so baseline cells share the cache with plain sweeps.
-func RobustBeffCell(machineKey string, procs int, opt core.Options, prof *perturb.Profile, seed int64, rep int) Cell[*core.Result] {
-	return RobustBeffCellShards(machineKey, procs, opt, prof, seed, rep, 1, nil)
-}
-
-// RobustBeffCellShards is RobustBeffCell on the sharded executor. Like
-// BeffCellShards, the shard count stays out of the fingerprint. A
-// perturbed repetition disables chain speculation (the fault schedule
-// samples absolute virtual time, which a time-translated speculative
-// world would get wrong) and re-simulates every chain at the exact
-// frontier instead — byte-identical, at sequential speed. A non-nil
-// reg receives the executor's beff_shard_* instruments (metrics never
-// touch results, so cells with and without a registry share cache
-// entries too).
-func RobustBeffCellShards(machineKey string, procs int, opt core.Options, prof *perturb.Profile, seed int64, rep int, shards int, reg *obs.Registry) Cell[*core.Result] {
-	if prof != nil && !prof.Enabled() {
-		prof = nil
-	}
-	repSeed := perturb.RepSeed(seed, rep)
-	fp := beffFingerprint{Bench: "beff", Machine: machineKey, Procs: procs, Options: opt}
-	key := fmt.Sprintf("beff:%s@%d", machineKey, procs)
-	if prof != nil {
-		fp.Perturb = prof
-		fp.PerturbSeed = repSeed
-		key = fmt.Sprintf("%s/rep%d", key, rep)
-	}
-	return Cell[*core.Result]{
-		Key:         key,
-		Fingerprint: fp,
-		Run: func() (*core.Result, error) {
-			p, err := machine.Lookup(machineKey)
-			if err != nil {
-				return nil, err
-			}
-			if opt.MemoryPerProc == 0 && opt.LmaxOverride == 0 {
-				opt.MemoryPerProc = p.MemoryPerProc
-			}
-			build := func() (mpi.WorldConfig, error) {
-				w, err := p.BuildWorld(procs)
-				if err != nil {
-					return w, err
-				}
-				prof.ApplyNet(w.Net, repSeed)
-				return w, nil
-			}
-			if shards <= 1 {
-				w, err := build()
-				if err != nil {
-					return nil, err
-				}
-				return core.Run(w, opt)
-			}
-			factory := func([]des.Time) (mpi.WorldConfig, error) { return build() }
-			res, _, err := core.RunSharded(factory, opt, core.ShardOptions{Shards: shards, NoSpec: prof != nil, Obs: reg})
-			return res, err
-		},
-	}
-}
-
-// RobustBeffIOCell is the b_eff_io counterpart: the profile applies to
-// both the network and the filesystem of the repetition's fresh world.
-func RobustBeffIOCell(machineKey string, procs int, opt beffio.Options, prof *perturb.Profile, seed int64, rep int) Cell[*beffio.Result] {
-	if prof != nil && !prof.Enabled() {
-		prof = nil
-	}
-	repSeed := perturb.RepSeed(seed, rep)
-	if opt.MPart == 0 {
-		if p, err := machine.Lookup(machineKey); err == nil {
-			opt.MPart = p.MPart()
-		}
-	}
-	fp := beffioFingerprint{Bench: "beffio", Machine: machineKey, Procs: procs, Options: opt}
-	key := fmt.Sprintf("beffio:%s@%d", machineKey, procs)
-	if prof != nil {
-		fp.Perturb = prof
-		fp.PerturbSeed = repSeed
-		key = fmt.Sprintf("%s/rep%d", key, rep)
-	}
-	return Cell[*beffio.Result]{
-		Key:         key,
-		Fingerprint: fp,
-		Run: func() (*beffio.Result, error) {
-			p, err := machine.Lookup(machineKey)
-			if err != nil {
-				return nil, err
-			}
-			w, err := p.BuildIOWorld(procs)
-			if err != nil {
-				return nil, err
-			}
-			fs, err := p.BuildFS()
-			if err != nil {
-				return nil, err
-			}
-			prof.Apply(w.Net, fs, repSeed)
-			return beffio.Run(w, fs, opt)
-		},
-	}
-}
 
 // Robustness is the distribution of a benchmark value over a
 // repetition sweep.

@@ -21,6 +21,12 @@ func stragglerProfile() *perturb.Profile {
 	}
 }
 
+// perturbedBeff is a quick b_eff cell on cluster@2: repetition rep
+// under prof with base seed seed.
+func perturbedBeff(prof *perturb.Profile, seed int64, rep int) Cell[*core.Result] {
+	return BeffCell(CellSpec{Machine: "cluster", Procs: 2, Beff: quickBeff(), Perturb: prof, Seed: seed, Rep: rep})
+}
+
 // cacheKey hashes a cell's fingerprint the way Sweep would.
 func cacheKey(t *testing.T, fp any) string {
 	t.Helper()
@@ -40,24 +46,24 @@ func cacheKey(t *testing.T, fp any) string {
 // cache entries, as must two repetitions of the same base seed.
 func TestPerturbSeedEntersCacheKey(t *testing.T) {
 	prof := stragglerProfile()
-	seed1 := RobustBeffCell("cluster", 2, quickBeff(), prof, 1, 0)
-	seed2 := RobustBeffCell("cluster", 2, quickBeff(), prof, 2, 0)
+	seed1 := perturbedBeff(prof, 1, 0)
+	seed2 := perturbedBeff(prof, 2, 0)
 	if cacheKey(t, seed1.Fingerprint) == cacheKey(t, seed2.Fingerprint) {
 		t.Fatal("different seeds share a cache key — seed missing from the fingerprint")
 	}
-	rep0 := RobustBeffCell("cluster", 2, quickBeff(), prof, 1, 0)
-	rep1 := RobustBeffCell("cluster", 2, quickBeff(), prof, 1, 1)
+	rep0 := perturbedBeff(prof, 1, 0)
+	rep1 := perturbedBeff(prof, 1, 1)
 	if cacheKey(t, rep0.Fingerprint) == cacheKey(t, rep1.Fingerprint) {
 		t.Fatal("two repetitions share a cache key")
 	}
 	// Same (profile, seed, rep) must stay stable, or caching is useless.
-	again := RobustBeffCell("cluster", 2, quickBeff(), prof, 1, 0)
+	again := perturbedBeff(prof, 1, 0)
 	if cacheKey(t, seed1.Fingerprint) != cacheKey(t, again.Fingerprint) {
 		t.Fatal("identical perturbed cells hash differently")
 	}
 	// The same properties for the I/O benchmark's fingerprint.
-	ioSeed1 := RobustBeffIOCell("sp", 2, quickBeffIO(), prof, 1, 0)
-	ioSeed2 := RobustBeffIOCell("sp", 2, quickBeffIO(), prof, 2, 0)
+	ioSeed1 := BeffIOCell(CellSpec{Machine: "sp", Procs: 2, IO: quickBeffIO(), Perturb: prof, Seed: 1})
+	ioSeed2 := BeffIOCell(CellSpec{Machine: "sp", Procs: 2, IO: quickBeffIO(), Perturb: prof, Seed: 2})
 	if cacheKey(t, ioSeed1.Fingerprint) == cacheKey(t, ioSeed2.Fingerprint) {
 		t.Fatal("b_eff_io: different seeds share a cache key")
 	}
@@ -68,16 +74,16 @@ func TestPerturbSeedEntersCacheKey(t *testing.T) {
 // fingerprint as the plain cell, so baselines reuse existing sweeps'
 // cached entries — and pre-perturbation cache entries stay valid.
 func TestUnperturbedRobustCellSharesPlainFingerprint(t *testing.T) {
-	plain := BeffCell("cluster", 2, quickBeff())
-	robust := RobustBeffCell("cluster", 2, quickBeff(), nil, 0, 0)
-	empty := RobustBeffCell("cluster", 2, quickBeff(), &perturb.Profile{}, 0, 0)
+	plain := BeffCell(CellSpec{Machine: "cluster", Procs: 2, Beff: quickBeff()})
+	robust := perturbedBeff(nil, 0, 0)
+	empty := perturbedBeff(&perturb.Profile{}, 0, 0)
 	if cacheKey(t, plain.Fingerprint) != cacheKey(t, robust.Fingerprint) {
 		t.Fatal("nil-profile robust cell must share the plain cell's cache key")
 	}
 	if cacheKey(t, plain.Fingerprint) != cacheKey(t, empty.Fingerprint) {
 		t.Fatal("empty-profile robust cell must share the plain cell's cache key")
 	}
-	if cacheKey(t, plain.Fingerprint) == cacheKey(t, RobustBeffCell("cluster", 2, quickBeff(), stragglerProfile(), 1, 0).Fingerprint) {
+	if cacheKey(t, plain.Fingerprint) == cacheKey(t, perturbedBeff(stragglerProfile(), 1, 0).Fingerprint) {
 		t.Fatal("perturbed cell must not alias the plain cell")
 	}
 }
@@ -93,9 +99,9 @@ func TestRobustSweepEndToEnd(t *testing.T) {
 	prof := stragglerProfile()
 	mk := func() []Cell[*core.Result] {
 		return []Cell[*core.Result]{
-			RobustBeffCell("cluster", 2, quickBeff(), prof, 1, 0),
-			RobustBeffCell("cluster", 2, quickBeff(), prof, 1, 1),
-			RobustBeffCell("cluster", 2, quickBeff(), nil, 0, 0), // baseline
+			perturbedBeff(prof, 1, 0),
+			perturbedBeff(prof, 1, 1),
+			perturbedBeff(nil, 0, 0), // baseline
 		}
 	}
 	cold := Sweep(mk(), Options{Workers: 3, Cache: cache})

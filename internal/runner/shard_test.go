@@ -11,39 +11,6 @@ func shardBeffOptions() core.Options {
 	return core.Options{LmaxOverride: 1 << 16, MaxLooplength: 2, Reps: 1, Seed: 1, SkipAnalysis: true}
 }
 
-// TestShardsStayOutOfFingerprint is the cache-compatibility property:
-// the shard count is an execution knob, so a sharded cell must hash to
-// the same content address as its sequential twin — they share cache
-// entries and dedupe against each other.
-func TestShardsStayOutOfFingerprint(t *testing.T) {
-	opt := shardBeffOptions()
-	base, err := FingerprintKey(BeffCellShards("t3e", 8, opt, 1).Fingerprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4, 8} {
-		key, err := FingerprintKey(BeffCellShards("t3e", 8, opt, shards).Fingerprint)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if key != base {
-			t.Errorf("shards=%d fingerprints differently from sequential: %s vs %s", shards, key, base)
-		}
-	}
-	prof := stragglerProfile()
-	rbase, err := FingerprintKey(RobustBeffCellShards("t3e", 8, opt, prof, 1, 0, 1, nil).Fingerprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rkey, err := FingerprintKey(RobustBeffCellShards("t3e", 8, opt, prof, 1, 0, 4, nil).Fingerprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rkey != rbase {
-		t.Errorf("perturbed cell fingerprints differently at shards=4: %s vs %s", rkey, rbase)
-	}
-}
-
 // TestShardSweepEquality crosses the two parallelism axes — sweep
 // workers (-j) and per-cell shard workers (-shards) — and requires the
 // served bytes to be identical at every combination, perturbed cells
@@ -53,8 +20,8 @@ func TestShardSweepEquality(t *testing.T) {
 	prof := stragglerProfile()
 	mkCells := func(shards int) []Cell[*core.Result] {
 		return []Cell[*core.Result]{
-			BeffCellShards("t3e", 8, opt, shards),
-			RobustBeffCellShards("t3e", 8, opt, prof, 1, 0, shards, nil),
+			BeffCell(CellSpec{Machine: "t3e", Procs: 8, Beff: opt, Shards: shards}),
+			BeffCell(CellSpec{Machine: "t3e", Procs: 8, Beff: opt, Perturb: prof, Seed: 1, Shards: shards}),
 		}
 	}
 	var want []string

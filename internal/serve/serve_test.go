@@ -726,19 +726,11 @@ func TestCLICacheBesideServerIsReadOnly(t *testing.T) {
 	opt.Cache.Instrument(reg)
 	cli := func(spec string) ([]byte, bool) {
 		t.Helper()
-		var req SweepRequest
-		if err := json.Unmarshal([]byte(spec), &req); err != nil {
-			t.Fatal(err)
+		plan, _, err := planSweep(strings.NewReader(spec), 1, opt.Cache, nil)
+		if err != nil || len(plan.tasks) != 1 {
+			t.Fatalf("planSweep: %+v, %v", plan, err)
 		}
-		req.normalize()
-		if err := req.validate(); err != nil {
-			t.Fatal(err)
-		}
-		tasks, err := req.tasks(opt.Cache, nil)
-		if err != nil || len(tasks) != 1 {
-			t.Fatalf("tasks: %d, %v", len(tasks), err)
-		}
-		value, cached, err := tasks[0].Run()
+		value, cached, err := plan.tasks[0].Run()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"github.com/hpcbench/beff/internal/beffio"
@@ -193,17 +195,23 @@ func (r *SweepRequest) validate() error {
 	return nil
 }
 
+// profile resolves the request's perturbation preset; nil when none
+// is named.
+func (r *SweepRequest) profile() (*perturb.Profile, error) {
+	if r.Perturb == "" {
+		return nil, nil
+	}
+	return perturb.Preset(r.Perturb)
+}
+
 // fleetSpec builds the runner spec of a fleet request. Perturbation
-// presets resolve here; the spec's own Normalize (called by
-// FleetCells) applies ladder defaults and the reps/perturb coupling.
+// presets resolve here; the spec's own Normalize (called by CellCount
+// and FleetCells) applies ladder defaults and the reps/perturb
+// coupling.
 func (r *SweepRequest) fleetSpec(reg *obs.Registry) (*runner.FleetSpec, error) {
-	var prof *perturb.Profile
-	if r.Perturb != "" {
-		p, err := perturb.Preset(r.Perturb)
-		if err != nil {
-			return nil, err
-		}
-		prof = p
+	prof, err := r.profile()
+	if err != nil {
+		return nil, err
 	}
 	return &runner.FleetSpec{
 		Machines:      r.Machines,
@@ -221,50 +229,116 @@ func (r *SweepRequest) fleetSpec(reg *obs.Registry) (*runner.FleetSpec, error) {
 	}, nil
 }
 
-// tasks expands the request into pool tasks, one per
-// (machine, procs, rep) cell, in deterministic axis order. The cache
-// is threaded into every task so HTTP-served cells read and repair the
-// same .beffcache/ entries as CLI sweeps.
-func (r *SweepRequest) tasks(cache *runner.Cache, reg *obs.Registry) ([]runner.Task, error) {
-	var prof *perturb.Profile
-	if r.Perturb != "" {
-		p, err := perturb.Preset(r.Perturb)
-		if err != nil {
-			return nil, err
+// cellCount is the number of cells tasks expands a non-fleet request
+// into — machines × procs × reps — computed without expanding it and
+// saturating instead of overflowing.
+func (r *SweepRequest) cellCount() int {
+	return runner.CellProduct(len(r.Machines), len(r.Procs), r.Reps)
+}
+
+// tasks expands the request into pool tasks: a fleet request through
+// runner.FleetCells, any other one cell per (machine, procs, rep) in
+// deterministic axis order. The cache is threaded into every task so
+// HTTP-served cells read and repair the same .beffcache/ entries as
+// CLI sweeps.
+func (r *SweepRequest) tasks(fleet *runner.FleetSpec, cache *runner.Cache, reg *obs.Registry) ([]runner.Task, []runner.FleetPointRef, error) {
+	if fleet != nil {
+		cells, refs, err := runner.FleetCells(fleet)
+		tasks := make([]runner.Task, len(cells))
+		for i, c := range cells {
+			tasks[i] = runner.JSONTask(c, cache)
 		}
-		prof = p
+		return tasks, refs, err
 	}
-	tasks := make([]runner.Task, 0, len(r.Machines)*len(r.Procs)*r.Reps)
+	prof, err := r.profile()
+	if err != nil {
+		return nil, nil, err
+	}
+	// Each constructor reads only its benchmark's fields of the spec.
+	// Shards is one of them for b_eff only: the I/O executor is
+	// sequential, and the knob never enters a fingerprint, so requests
+	// at any shard count share cache entries.
+	spec := runner.CellSpec{
+		Beff: core.Options{
+			LmaxOverride:  r.LmaxOverride,
+			Seed:          r.Seed,
+			MaxLooplength: r.MaxLooplength,
+			Reps:          r.InnerReps,
+			SkipAnalysis:  r.SkipAnalysis,
+		},
+		IO:       beffio.Options{T: des.DurationOf(r.TSeconds)},
+		Workload: r.Workload,
+		Perturb:  prof,
+		Seed:     r.Seed,
+		Shards:   r.Shards,
+		Obs:      reg,
+	}
+	var task func(runner.CellSpec) runner.Task
+	switch r.Bench {
+	case "beff":
+		task = func(s runner.CellSpec) runner.Task { return runner.JSONTask(runner.BeffCell(s), cache) }
+	case "beffio":
+		task = func(s runner.CellSpec) runner.Task { return runner.JSONTask(runner.BeffIOCell(s), cache) }
+	case "workload":
+		task = func(s runner.CellSpec) runner.Task { return runner.JSONTask(runner.WorkloadCell(s), cache) }
+	default:
+		return nil, nil, fmt.Errorf("bench %q", r.Bench)
+	}
+	tasks := make([]runner.Task, 0, r.cellCount())
 	for _, key := range r.Machines {
 		for _, procs := range r.Procs {
 			for rep := 0; rep < r.Reps; rep++ {
-				switch r.Bench {
-				case "beff":
-					opt := core.Options{
-						LmaxOverride:  r.LmaxOverride,
-						Seed:          r.Seed,
-						MaxLooplength: r.MaxLooplength,
-						Reps:          r.InnerReps,
-						SkipAnalysis:  r.SkipAnalysis,
-					}
-					cell := runner.RobustBeffCellShards(key, procs, opt, prof, r.Seed, rep, r.Shards, reg)
-					tasks = append(tasks, runner.JSONTask(cell, cache))
-				case "beffio":
-					opt := beffio.Options{T: des.DurationOf(r.TSeconds)}
-					cell := runner.RobustBeffIOCell(key, procs, opt, prof, r.Seed, rep)
-					tasks = append(tasks, runner.JSONTask(cell, cache))
-				case "workload":
-					// Shards is accepted but not an input here: the I/O
-					// executor is sequential, and the knob never enters the
-					// fingerprint, so requests at any shard count share
-					// cache entries.
-					cell := runner.RobustWorkloadCell(r.Workload, key, procs, prof, r.Seed, rep)
-					tasks = append(tasks, runner.JSONTask(cell, cache))
-				default:
-					return nil, fmt.Errorf("bench %q", r.Bench)
-				}
+				spec.Machine, spec.Procs, spec.Rep = key, procs, rep
+				tasks = append(tasks, task(spec))
 			}
 		}
 	}
-	return tasks, nil
+	return tasks, nil, nil
+}
+
+// sweepPlan is a submitted sweep up to admission: the validated
+// request, its cell count, and — only when the count fits the queue —
+// its expanded tasks (plus the fleet spec and point refs of a fleet
+// request).
+type sweepPlan struct {
+	req   SweepRequest
+	cells int
+	tasks []runner.Task
+	fleet *runner.FleetSpec
+	refs  []runner.FleetPointRef
+}
+
+// planSweep is the submit path up to admission: decode the body
+// (unknown fields rejected), apply defaults, validate, and count the
+// cells arithmetically. Only a sweep of at most limit cells is
+// expanded: a larger one can never be admitted, and expanding it first
+// would let a single request with huge axes (reps near 1<<62, or tens
+// of thousands of machines × procs) exhaust the daemon's memory. A
+// failure reports its API error code.
+func planSweep(body io.Reader, limit int, cache *runner.Cache, reg *obs.Registry) (*sweepPlan, string, error) {
+	p := &sweepPlan{}
+	dec := json.NewDecoder(io.LimitReader(body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p.req); err != nil {
+		return nil, "bad_request", fmt.Errorf("decode sweep request: %w", err)
+	}
+	p.req.normalize()
+	if err := p.req.validate(); err != nil {
+		return nil, "invalid_request", err
+	}
+	var err error
+	if p.req.Fleet {
+		if p.fleet, err = p.req.fleetSpec(reg); err == nil {
+			p.cells, err = p.fleet.CellCount()
+		}
+	} else {
+		p.cells = p.req.cellCount()
+	}
+	if err == nil && p.cells <= limit {
+		p.tasks, p.refs, err = p.req.tasks(p.fleet, cache, reg)
+	}
+	if err != nil {
+		return nil, "invalid_request", err
+	}
+	return p, "", nil
 }
